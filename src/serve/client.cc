@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -42,6 +43,16 @@ StatusOr<ServeClient> ServeClient::Connect(int port, const std::string& host,
     Status status = pdgf::IoError(pdgf::StrPrintf(
         "connect to %s:%d failed: %s", host.c_str(), port,
         std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  // Requests go out without waiting on Nagle, like the daemon's replies
+  // (ConfigureConnectionSocket in server.h).
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    Status status = pdgf::IoError(
+        std::string("setsockopt(TCP_NODELAY) failed: ") +
+        std::strerror(errno));
     ::close(fd);
     return status;
   }

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,32 @@ namespace serve {
 
 using pdgf::Status;
 using pdgf::StatusOr;
+
+namespace {
+
+Status SetSocketOption(int fd, int level, int name, const void* value,
+                       socklen_t length, const char* label) {
+  if (::setsockopt(fd, level, name, value, length) == 0) return Status::Ok();
+  return pdgf::IoError(pdgf::StrPrintf("setsockopt(%s) failed: %s", label,
+                                       std::strerror(errno)));
+}
+
+}  // namespace
+
+Status ConfigureConnectionSocket(int fd, const ServeOptions& options) {
+  timeval timeout{};
+  timeout.tv_sec = options.request_timeout_seconds;
+  PDGF_RETURN_IF_ERROR(SetSocketOption(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                                       sizeof(timeout), "SO_RCVTIMEO"));
+  if (options.send_buffer_bytes > 0) {
+    PDGF_RETURN_IF_ERROR(SetSocketOption(
+        fd, SOL_SOCKET, SO_SNDBUF, &options.send_buffer_bytes,
+        sizeof(options.send_buffer_bytes), "SO_SNDBUF"));
+  }
+  const int one = 1;
+  return SetSocketOption(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one),
+                         "TCP_NODELAY");
+}
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)), queue_(options_.max_jobs) {}
@@ -94,22 +121,24 @@ void Server::AcceptLoop() {
       break;
     }
 
-    timeval timeout{};
-    timeout.tv_sec = options_.request_timeout_seconds;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    if (options_.send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
-                   sizeof(options_.send_buffer_bytes));
+    auto reject = [this, fd](const Status& reason) {
+      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+      pdgf::WriteAllToFd(fd, FormatErrorLine(reason));
+      ::close(fd);
+    };
+    // Fail closed: a connection without its idle bound or with Nagle
+    // still on is refused like one over the connection limit.
+    Status configured = ConfigureConnectionSocket(fd, options_);
+    if (!configured.ok()) {
+      reject(configured);
+      continue;
     }
 
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (active_connections_ >= options_.max_connections) {
-        connections_rejected_.fetch_add(1, std::memory_order_relaxed);
-        pdgf::WriteAllToFd(
-            fd, FormatErrorLine(pdgf::ResourceExhaustedError(
-                    "connection limit reached; retry later")));
-        ::close(fd);
+        reject(pdgf::ResourceExhaustedError(
+            "connection limit reached; retry later"));
         continue;
       }
       ++active_connections_;

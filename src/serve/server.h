@@ -44,6 +44,14 @@ struct ServeOptions {
   int send_buffer_bytes = 0;
 };
 
+// Applies the per-connection socket options to an accepted fd: the
+// SO_RCVTIMEO idle bound, SO_SNDBUF when set, and TCP_NODELAY. A reply
+// is several writes (header, chunk frames, trailers); with Nagle on,
+// each write after the first waits for the peer's delayed ACK (~40 ms).
+// Any failing option is an error, so the caller can refuse the
+// connection instead of serving it without the option.
+pdgf::Status ConfigureConnectionSocket(int fd, const ServeOptions& options);
+
 // The `dbsynthpp serve` daemon: accepts connections, parses line-
 // delimited JSON requests (serve/protocol.h) and runs generation jobs
 // through the standard GenerationEngine with a socket-backed sink per

@@ -6,8 +6,11 @@
 // report plus process-level fd accounting.
 
 #include <dirent.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <string>
@@ -332,6 +335,49 @@ TEST(ServeFailureTest, ShutdownDrainsAndStopsAccepting) {
   server.reset();
   auto late = serve::ServeClient::Connect(port);
   EXPECT_FALSE(late.ok()) << "daemon still accepting after shutdown";
+}
+
+TEST(ServeFailureTest, ConnectionSocketOptionsFailClosed) {
+  ServeOptions options;
+  options.request_timeout_seconds = 7;
+  options.send_buffer_bytes = 16 * 1024;
+
+  // A TCP socket takes every option: idle bound, send buffer, no Nagle.
+  int tcp = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(tcp, 0);
+  pdgf::Status configured = serve::ConfigureConnectionSocket(tcp, options);
+  EXPECT_TRUE(configured.ok()) << configured.ToString();
+  timeval timeout{};
+  socklen_t length = sizeof(timeout);
+  ASSERT_EQ(::getsockopt(tcp, SOL_SOCKET, SO_RCVTIMEO, &timeout, &length), 0);
+  EXPECT_EQ(timeout.tv_sec, 7);
+  int nodelay = 0;
+  length = sizeof(nodelay);
+  ASSERT_EQ(
+      ::getsockopt(tcp, IPPROTO_TCP, TCP_NODELAY, &nodelay, &length), 0);
+  EXPECT_EQ(nodelay, 1);
+  ::close(tcp);
+
+  // A Unix socket takes the socket-level options but not TCP_NODELAY:
+  // the failure is reported, not skipped.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  configured = serve::ConfigureConnectionSocket(pair[0], options);
+  EXPECT_FALSE(configured.ok());
+  EXPECT_NE(configured.message().find("TCP_NODELAY"), std::string::npos)
+      << configured.ToString();
+  ::close(pair[0]);
+  ::close(pair[1]);
+
+  // Not a socket at all: the first option (the idle bound) fails.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  configured = serve::ConfigureConnectionSocket(pipe_fds[0], options);
+  EXPECT_FALSE(configured.ok());
+  EXPECT_NE(configured.message().find("SO_RCVTIMEO"), std::string::npos)
+      << configured.ToString();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 }  // namespace

@@ -5,8 +5,18 @@
 // strict request validation, the new counters (rows_streamed,
 // stream_events, streams_active) and failure injection — mid-stream
 // disconnect and cross-connection cancel must fail only that job.
+// Latency: small replies must not stall on Nagle + delayed ACK, paced
+// streams flush each chunk as it is produced, and backpressure still
+// lets a non-draining client see the streaming header.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +38,38 @@ using serve::ServeOptions;
 using serve_test::MustConnect;
 using serve_test::StartServer;
 using serve_test::WaitFor;
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// The local render of a range window: what the wire payload and the
+// digest trailer must match byte for byte.
+struct LocalWindow {
+  std::string payload;
+  std::string digest_hex;
+};
+
+LocalWindow RenderLocalWindow(const pdgf::SchemaDef& schema,
+                              const pdgf::GenerationSession& session,
+                              int table, uint64_t first, uint64_t last) {
+  pdgf::CsvFormatter formatter;
+  pdgf::RowRangeCursor cursor(&session, table, first, last);
+  pdgf::TableDigest digest;
+  std::vector<size_t> row_offsets;
+  std::string buffer;
+  LocalWindow window;
+  while (cursor.Next()) {
+    buffer.clear();
+    formatter.AppendBatch(schema.tables[static_cast<size_t>(table)],
+                          cursor.batch(), &buffer, &row_offsets);
+    pdgf::FoldBatchIntoDigest(cursor.batch(), buffer, row_offsets, &digest);
+    window.payload += buffer;
+  }
+  window.digest_hex = digest.Hex();
+  return window;
+}
 
 double MetricsNumber(ServeClient& client, const std::string& key) {
   auto response = client.Request(R"({"op":"metrics"})");
@@ -266,6 +308,155 @@ TEST(ServeOnTheFlyTest, RangeWindowInUpdateModeShipsOnlySelectedRows) {
   ASSERT_TRUE(job.ok());
   ASSERT_TRUE(job->ok);
   EXPECT_EQ(job->rows, 100u);
+}
+
+TEST(ServeOnTheFlyTest, SequentialSmallRangesDoNotStall) {
+  // Each range reply is several writes (header, chunk frame, digest and
+  // ok trailer). Without TCP_NODELAY the writes after the first wait for
+  // the client's delayed ACK, ~40 ms per reply.
+  auto server = StartServer({});
+  ASSERT_NE(server, nullptr);
+  ServeClient client = MustConnect(*server);
+  pdgf::SchemaDef schema = workloads::BuildTpchSchema();
+  auto session = pdgf::GenerationSession::Create(&schema, {{"SF", "0.01"}});
+  ASSERT_TRUE(session.ok());
+  const int table = schema.FindTableIndex("orders");
+  ASSERT_GE(table, 0);
+
+  // Warm the daemon's session cache so the timed loop measures replies.
+  auto warm = client.RunJob(
+      R"({"op":"range","model":"tpch","scale_factor":0.01,)"
+      R"("table":"orders","first_row":0,"row_count":1})");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->ok) << warm->error_message;
+
+  constexpr int kRequests = 100;
+  constexpr uint64_t kRows = 50;
+  double wire_seconds = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const uint64_t first = static_cast<uint64_t>(i) * 97;
+    const std::string request =
+        R"({"op":"range","model":"tpch","scale_factor":0.01,)"
+        R"("table":"orders","first_row":)" +
+        std::to_string(first) + R"(,"row_count":50,"digests":true})";
+    const Clock::time_point start = Clock::now();
+    auto job = client.RunJob(request);
+    wire_seconds += SecondsSince(start);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    ASSERT_TRUE(job->ok) << job->error_code << ": " << job->error_message;
+    ASSERT_EQ(job->rows, kRows);
+    const LocalWindow expected =
+        RenderLocalWindow(schema, **session, table, first, first + kRows);
+    ASSERT_EQ(job->table_payload.at("orders"), expected.payload)
+        << "request " << i;
+    ASSERT_EQ(job->digests.size(), 1u);
+    EXPECT_EQ(job->digests[0].rows, kRows);
+    EXPECT_EQ(job->digests[0].hex, expected.digest_hex) << "request " << i;
+  }
+  // Measured for the 100 round trips on a 4-core x86 VM: with Nagle on,
+  // 4.39-4.40 s (~44 ms per reply). With TCP_NODELAY: 0.009-0.02 s in
+  // the RelWithDebInfo build, 0.14-0.21 s under ASan/UBSan and
+  // 0.21-0.25 s under TSan. The bound sits well clear of both sides.
+  EXPECT_LT(wire_seconds, 1.5) << "small range replies are stalling";
+}
+
+TEST(ServeOnTheFlyTest, ClientSocketDisablesNagle) {
+  auto server = StartServer({});
+  ASSERT_NE(server, nullptr);
+  ServeClient client = MustConnect(*server);
+  int nodelay = 0;
+  socklen_t length = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &length),
+            0);
+  EXPECT_EQ(nodelay, 1);
+}
+
+TEST(ServeOnTheFlyTest, PacedStreamFlushesFirstChunkBeforePacingEnds) {
+  // 20 events at 10 events/s: one chunk goes out at once, then the pacer
+  // holds the trailer until ~2 s. The chunk must reach the client as it
+  // is produced, not when the job finishes.
+  auto server = StartServer({});
+  ASSERT_NE(server, nullptr);
+  ServeClient client = MustConnect(*server);
+  const Clock::time_point start = Clock::now();
+  ASSERT_TRUE(client
+                  .SendLine(R"({"op":"stream","model":"tpch",)"
+                            R"("scale_factor":0.001,"table":"orders",)"
+                            R"("snapshot":true,"rate":10,"events":20})")
+                  .ok());
+  auto header = client.ReadLine();
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  ASSERT_NE(header->find("streaming"), std::string::npos) << *header;
+  auto frame = client.ReadLine();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  auto bytes = serve::ExtractJsonNumber(*frame, "bytes");
+  ASSERT_TRUE(bytes.ok()) << *frame;
+  auto payload = client.ReadBytes(static_cast<size_t>(*bytes));
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const double first_chunk_seconds = SecondsSince(start);
+  EXPECT_EQ(std::count(payload->begin(), payload->end(), '\n'), 20);
+
+  auto trailer = client.ReadLine();
+  ASSERT_TRUE(trailer.ok()) << trailer.status().ToString();
+  EXPECT_NE(trailer->find("\"status\":\"ok\""), std::string::npos)
+      << *trailer;
+  const double total_seconds = SecondsSince(start);
+  EXPECT_GE(total_seconds, 1.9) << "the pacer no longer holds the rate";
+  EXPECT_LT(first_chunk_seconds, 1.0)
+      << "the first chunk waited for the pacing to finish";
+}
+
+TEST(ServeOnTheFlyTest, NonDrainingClientSeesHeaderThenGetsEveryByte) {
+  ServeOptions options;
+  options.send_buffer_bytes = 16 * 1024;  // backpressure after a few KB
+  auto server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+  ServeClient client = MustConnect(*server, /*recv_buffer_bytes=*/8192);
+  constexpr uint64_t kRows = 5000;  // ~600 KB of orders: far above buffers
+  ASSERT_TRUE(client
+                  .SendLine(R"({"op":"range","model":"tpch",)"
+                            R"("scale_factor":0.01,"table":"orders",)"
+                            R"("first_row":0,"row_count":5000})")
+                  .ok());
+  // The header is flushed before the first payload write can block.
+  auto header = client.ReadLine();
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  ASSERT_NE(header->find("streaming"), std::string::npos) << *header;
+
+  // Not draining: the job stays pinned in its streaming phase.
+  ServeClient probe = MustConnect(*server);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(MetricsNumber(probe, "queue_depth"), 1);
+  EXPECT_EQ(MetricsNumber(probe, "jobs_completed"), 0);
+
+  // Draining now delivers the whole window, unchanged by the stall.
+  std::string received;
+  while (true) {
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    if (line->find("\"table\"") != std::string::npos) {
+      auto bytes = serve::ExtractJsonNumber(*line, "bytes");
+      ASSERT_TRUE(bytes.ok()) << *line;
+      auto payload = client.ReadBytes(static_cast<size_t>(*bytes));
+      ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+      received += *payload;
+      continue;
+    }
+    ASSERT_NE(line->find("\"status\":\"ok\""), std::string::npos) << *line;
+    break;
+  }
+  pdgf::SchemaDef schema = workloads::BuildTpchSchema();
+  auto session = pdgf::GenerationSession::Create(&schema, {{"SF", "0.01"}});
+  ASSERT_TRUE(session.ok());
+  const int table = schema.FindTableIndex("orders");
+  ASSERT_GE(table, 0);
+  EXPECT_EQ(received,
+            RenderLocalWindow(schema, **session, table, 0, kRows).payload);
+  ASSERT_TRUE(WaitFor([&] {
+    return MetricsNumber(probe, "jobs_completed") == 1 &&
+           MetricsNumber(probe, "queue_depth") == 0;
+  }));
 }
 
 }  // namespace

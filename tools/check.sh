@@ -74,7 +74,7 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # row inserts (LOAD_GATE_X, default 1.0). Also cross-checks that every
   # engine/path combination digests to identical table bytes.
   run ./build/bench/bench_load 0.01 --quick --load-gate
-  echo "=== tier-1: serve daemon smoke (job + metrics + clean shutdown) ==="
+  echo "=== tier-1: serve daemon smoke (job + range + metrics + clean shutdown) ==="
   run tools/serve_smoke.sh ./build/tools/dbsynthpp
   echo "=== tier-1: on-the-fly smoke (virtual SELECT + stream replay) ==="
   run tools/onthefly_smoke.sh ./build/tools/dbsynthpp

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 smoke test for the serve daemon (docs/serve.md): boot it on an
-# ephemeral port, run one real job through the `request` verb, scrape
-# the metrics endpoint, then shut it down in-band and require a clean
-# exit. A hard wall-clock timeout guards every step — a wedged daemon
+# ephemeral port, run one real generate job and one `range` window
+# through the `request` verb, scrape the metrics endpoint, then shut it
+# down in-band and require a clean exit. A hard wall-clock timeout guards every step — a wedged daemon
 # must fail the tier, not hang it.
 #
 #   tools/serve_smoke.sh [path/to/dbsynthpp]
@@ -77,9 +77,23 @@ JOB_OUT="$(req --model tpch --sf 0.001 --digests)"
 echo "$JOB_OUT" | grep -q "rows" || { echo "serve_smoke: job produced no rows: $JOB_OUT" >&2; exit 1; }
 echo "$JOB_OUT" | grep -q "lineitem" || { echo "serve_smoke: job digests missing lineitem" >&2; exit 1; }
 
+# A range window over the daemon: row count, digest trailer, and payload
+# bytes identical to the same rows of a local `generate`.
+mkdir "$WORK_DIR/range"
+RANGE_OUT="$(req --op range --model tpch --sf 0.01 --table orders \
+  --first-row 0 --row-count 100 --digests --out "$WORK_DIR/range")"
+echo "$RANGE_OUT" | grep -q "ok: 100 rows" \
+  || { echo "serve_smoke: range did not ship 100 rows: $RANGE_OUT" >&2; exit 1; }
+echo "$RANGE_OUT" | grep -Eq "orders +100 rows +digest=[0-9a-f]{32}" \
+  || { echo "serve_smoke: range digest line missing: $RANGE_OUT" >&2; exit 1; }
+"$TIMEOUT_BIN" "$STEP_TIMEOUT" "$BIN" generate --model tpch --sf 0.01 \
+  --out "$WORK_DIR/local" >/dev/null
+head -n 100 "$WORK_DIR/local/orders.csv" | cmp -s - "$WORK_DIR/range/orders.csv" \
+  || { echo "serve_smoke: range payload differs from local generate" >&2; exit 1; }
+
 METRICS_OUT="$(req --op metrics)"
-echo "$METRICS_OUT" | grep -q '"jobs_completed":1' \
-  || { echo "serve_smoke: metrics did not record the job: $METRICS_OUT" >&2; exit 1; }
+echo "$METRICS_OUT" | grep -q '"jobs_completed":2' \
+  || { echo "serve_smoke: metrics did not record both jobs: $METRICS_OUT" >&2; exit 1; }
 echo "$METRICS_OUT" | grep -q '"schema_version":2' \
   || { echo "serve_smoke: metrics missing embedded schema-v2 report" >&2; exit 1; }
 
@@ -95,4 +109,4 @@ fi
 grep -q "shut down cleanly" "$SERVE_LOG" \
   || { echo "serve_smoke: daemon did not report a clean shutdown" >&2; exit 1; }
 
-echo "serve_smoke: ok (job + metrics + clean shutdown)"
+echo "serve_smoke: ok (job + range + metrics + clean shutdown)"
